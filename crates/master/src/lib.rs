@@ -52,7 +52,7 @@ use proxy::webservice::{
     status, PathPattern, WsCall, WsClient, WsClientEvent, WsRequest, WsResponse, WsServer,
 };
 use proxy::{uri_node, WS_PORT};
-use pubsub::{WirePacket, PUBSUB_PORT};
+use pubsub::{WirePacketRef, PUBSUB_PORT};
 use simnet::overload::{Admission, AdmissionGate, BreakerConfig, BreakerState, CircuitBreaker};
 use simnet::{Context, Node, NodeId, Packet, SimDuration, SimTime, TimerTag};
 
@@ -865,9 +865,9 @@ impl MasterNode {
             ctx.send(
                 node,
                 PUBSUB_PORT,
-                WirePacket::OpsGet {
+                WirePacketRef::OpsGet {
                     id,
-                    path: "/health".to_owned(),
+                    path: "/health",
                 }
                 .encode(),
             );
@@ -1155,10 +1155,10 @@ impl Node for MasterNode {
                 }
             }
             PUBSUB_PORT => {
-                if let Ok(WirePacket::OpsReply { id, status, body }) =
-                    WirePacket::decode(&pkt.payload)
+                if let Ok(WirePacketRef::OpsReply { id, status, body }) =
+                    WirePacketRef::decode(&pkt.payload)
                 {
-                    self.on_scrape_ops_reply(ctx, id, status, &body);
+                    self.on_scrape_ops_reply(ctx, id, status, body);
                 }
             }
             _ => {}

@@ -10,7 +10,7 @@ use crate::federation::{
     FLUSH_TIMER_BIT,
 };
 use crate::topic::SubscriptionTrie;
-use crate::wire::{BridgeFrame, BridgeFrameRef, Packet, PacketRef, QoS};
+use crate::wire::{BridgeFrame, BridgeFrameRef, PacketRef, QoS};
 use crate::{BridgeStats, Topic, TopicFilter, TopicRef};
 
 /// How long the broker waits before redelivering an unacked QoS 1
@@ -149,7 +149,7 @@ pub struct BrokerStats {
 /// A SEEMPubS-style broker running as a [`simnet::Node`].
 ///
 /// Clients talk to it on [`PUBSUB_PORT`](crate::PUBSUB_PORT) with
-/// [`Packet`](crate::WirePacket)s; the [`PubSubClient`](crate::PubSubClient)
+/// [`WirePacketRef`](crate::WirePacketRef)s; the [`PubSubClient`](crate::PubSubClient)
 /// helper wraps that protocol.
 ///
 /// A broker can run standalone (the default, exactly the paper's single
@@ -366,7 +366,7 @@ impl BrokerNode {
             0
         };
         if qos == QoS::AtLeastOnce {
-            ctx.send(from, crate::PUBSUB_PORT, Packet::PubAck { id }.encode());
+            ctx.send(from, crate::PUBSUB_PORT, PacketRef::PubAck { id }.encode());
         }
         if retain {
             if payload.is_empty() {
@@ -515,8 +515,8 @@ impl BrokerNode {
         }
         let batch_id = fed.next_batch_id;
         fed.next_batch_id += 1;
-        // Serialize from borrowed views; the frames themselves move
-        // into the retransmission ledger below without a deep clone.
+        // Serialize from borrowed views; the ledger below keeps the
+        // encoded bytes, which retries resend as they are.
         let bytes = PacketRef::BridgeBatch {
             incarnation,
             batch_id,
@@ -532,7 +532,8 @@ impl BrokerNode {
             batch_id,
             crate::federation::PendingBatch {
                 peer,
-                frames,
+                bytes: bytes.clone(),
+                frame_count: frames.len(),
                 retries_left: BATCH_MAX_RETRIES,
                 sent_at: ctx.now(),
             },
@@ -549,7 +550,7 @@ impl BrokerNode {
         let Some(fed) = &self.federation else {
             return;
         };
-        let bytes = Packet::BridgeHello { incarnation }.encode();
+        let bytes = PacketRef::BridgeHello { incarnation }.encode();
         for peer in fed.peer_shards() {
             ctx.send(fed.config.brokers[peer], crate::PUBSUB_PORT, bytes.clone());
         }
@@ -590,20 +591,15 @@ impl BrokerNode {
     /// Re-sends every live local filter advertisement to one peer.
     fn readvertise_to(&mut self, ctx: &mut Context<'_>, peer: usize) {
         let incarnation = self.incarnation;
-        let adverts: Vec<(TopicFilter, QoS)> = self
-            .advert_refs
-            .values()
-            .map(|r| (r.filter.clone(), r.strongest()))
-            .collect();
         let Some(fed) = &self.federation else {
             return;
         };
         let dst = fed.config.brokers[peer];
-        for (filter, qos) in adverts {
-            let bytes = Packet::BridgeAdvertise {
+        for r in self.advert_refs.values() {
+            let bytes = PacketRef::BridgeAdvertise {
                 incarnation,
-                filter,
-                qos,
+                filter: (&r.filter).into(),
+                qos: r.strongest(),
             }
             .encode();
             ctx.send(dst, crate::PUBSUB_PORT, bytes);
@@ -705,9 +701,9 @@ impl BrokerNode {
         let Some(fed) = &self.federation else {
             return;
         };
-        let bytes = Packet::BridgeAdvertise {
+        let bytes = PacketRef::BridgeAdvertise {
             incarnation,
-            filter: filter.clone(),
+            filter: filter.into(),
             qos,
         }
         .encode();
@@ -743,9 +739,9 @@ impl BrokerNode {
             self.advert_refs.remove(filter.as_str());
             let incarnation = self.incarnation;
             if let Some(fed) = &self.federation {
-                let bytes = Packet::BridgeUnadvertise {
+                let bytes = PacketRef::BridgeUnadvertise {
                     incarnation,
-                    filter: filter.clone(),
+                    filter: (&filter).into(),
                 }
                 .encode();
                 for peer in fed.peer_shards() {
@@ -818,7 +814,7 @@ impl BrokerNode {
         ctx.send(
             src,
             crate::PUBSUB_PORT,
-            Packet::BridgeBatchAck { batch_id }.encode(),
+            PacketRef::BridgeBatchAck { batch_id }.encode(),
         );
         {
             let Some(fed) = &mut self.federation else {
@@ -838,7 +834,6 @@ impl BrokerNode {
     }
 
     fn on_batch_retry(&mut self, ctx: &mut Context<'_>, batch_id: u64) {
-        let incarnation = self.incarnation;
         let mut drop_count = 0u64;
         let mut resend: Option<(simnet::NodeId, Vec<u8>)> = None;
         {
@@ -850,7 +845,7 @@ impl BrokerNode {
             };
             if pending.retries_left == 0 {
                 let dead = fed.pending.remove(&batch_id).expect("present");
-                drop_count = dead.frames.len() as u64;
+                drop_count = dead.frame_count as u64;
                 fed.stats.frames_dropped += drop_count;
                 fed.breakers[dead.peer].record_failure(ctx.now(), &ctx.telemetry().metrics);
             } else {
@@ -860,13 +855,7 @@ impl BrokerNode {
                 pending.retries_left -= 1;
                 pending.sent_at = ctx.now();
                 fed.stats.retries += 1;
-                let bytes = PacketRef::BridgeBatch {
-                    incarnation,
-                    batch_id,
-                    frames: pending.frames.iter().map(BridgeFrame::view).collect(),
-                }
-                .encode();
-                resend = Some((fed.config.brokers[pending.peer], bytes));
+                resend = Some((fed.config.brokers[peer], pending.bytes.clone()));
                 fed.breakers[peer].record_failure(ctx.now(), &ctx.telemetry().metrics);
             }
         }
@@ -978,7 +967,7 @@ impl Node for BrokerNode {
                 ctx.send(
                     pkt.src,
                     crate::PUBSUB_PORT,
-                    Packet::Pong {
+                    PacketRef::Pong {
                         incarnation: self.incarnation,
                     }
                     .encode(),
@@ -1019,7 +1008,7 @@ impl Node for BrokerNode {
             PacketRef::BridgeBatchAck { batch_id } => {
                 if let Some(fed) = &mut self.federation {
                     if let Some(done) = fed.pending.remove(&batch_id) {
-                        fed.stats.frames_acked += done.frames.len() as u64;
+                        fed.stats.frames_acked += done.frame_count as u64;
                         fed.breakers[done.peer].record_success(
                             ctx.now(),
                             ctx.now().saturating_since(done.sent_at),
@@ -1038,7 +1027,12 @@ impl Node for BrokerNode {
                 ctx.send(
                     pkt.src,
                     crate::PUBSUB_PORT,
-                    Packet::OpsReply { id, status, body }.encode(),
+                    PacketRef::OpsReply {
+                        id,
+                        status,
+                        body: &body,
+                    }
+                    .encode(),
                 );
             }
             PacketRef::PubAck { .. }

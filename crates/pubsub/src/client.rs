@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use simnet::{Context, NodeId, Packet as NetPacket, SimDuration, TimerTag};
 
-use crate::wire::{Packet, QoS};
+use crate::wire::{PacketRef, QoS};
 use crate::{Topic, TopicFilter, PUBSUB_PORT};
 use simnet::telemetry::{SpanId, TraceId, NO_SPAN, NO_TRACE};
 
@@ -131,7 +131,7 @@ impl PubSubClient {
     /// that survives a broker restart silently stops receiving messages.
     pub fn start_keepalive(&mut self, ctx: &mut Context<'_>, interval: SimDuration) {
         self.keepalive = Some(interval);
-        ctx.send(self.broker, PUBSUB_PORT, Packet::Ping.encode());
+        ctx.send(self.broker, PUBSUB_PORT, PacketRef::Ping.encode());
         ctx.set_timer(interval, TimerTag(self.tag_base));
     }
 
@@ -141,8 +141,8 @@ impl PubSubClient {
         ctx.send(
             self.broker,
             PUBSUB_PORT,
-            Packet::Subscribe {
-                filter: filter.clone(),
+            PacketRef::Subscribe {
+                filter: (&filter).into(),
                 qos,
             }
             .encode(),
@@ -157,8 +157,8 @@ impl PubSubClient {
         ctx.send(
             self.broker,
             PUBSUB_PORT,
-            Packet::Unsubscribe {
-                filter: filter.clone(),
+            PacketRef::Unsubscribe {
+                filter: (&filter).into(),
             }
             .encode(),
         );
@@ -211,10 +211,10 @@ impl PubSubClient {
     ) -> u64 {
         let id = self.next_publish_id;
         self.next_publish_id += 1;
-        let bytes = Packet::Publish {
+        let bytes = PacketRef::Publish {
             id,
-            topic,
-            payload,
+            topic: (&topic).into(),
+            payload: &payload,
             retain,
             qos,
             trace,
@@ -238,7 +238,7 @@ impl PubSubClient {
     /// Feeds an incoming packet through the client. QoS 1 deliveries are
     /// acknowledged automatically.
     pub fn accept(&mut self, ctx: &mut Context<'_>, pkt: &NetPacket) -> Option<PubSubEvent> {
-        let decoded = match Packet::decode(&pkt.payload) {
+        let decoded = match PacketRef::decode(&pkt.payload) {
             Ok(p) => p,
             Err(_) => {
                 ctx.telemetry().metrics.incr("pubsub.decode_error");
@@ -246,7 +246,7 @@ impl PubSubClient {
             }
         };
         match decoded {
-            Packet::Deliver {
+            PacketRef::Deliver {
                 id,
                 topic,
                 payload,
@@ -255,7 +255,7 @@ impl PubSubClient {
                 span: deliver_span,
             } => {
                 if qos == QoS::AtLeastOnce {
-                    ctx.send(pkt.src, PUBSUB_PORT, Packet::DeliverAck { id }.encode());
+                    ctx.send(pkt.src, PUBSUB_PORT, PacketRef::DeliverAck { id }.encode());
                 }
                 let span = if trace != NO_TRACE {
                     ctx.span_hop("sub.receive", trace, deliver_span, format!("topic={topic}"))
@@ -263,17 +263,17 @@ impl PubSubClient {
                     NO_SPAN
                 };
                 Some(PubSubEvent::Message {
-                    topic,
-                    payload,
+                    topic: topic.to_topic(),
+                    payload: payload.to_vec(),
                     trace,
                     span,
                 })
             }
-            Packet::PubAck { id } => {
+            PacketRef::PubAck { id } => {
                 self.pending.remove(&id)?;
                 Some(PubSubEvent::Published { id })
             }
-            Packet::Pong { incarnation } => {
+            PacketRef::Pong { incarnation } => {
                 let restarted = self
                     .last_incarnation
                     .is_some_and(|prev| prev != incarnation);
@@ -284,12 +284,13 @@ impl PubSubClient {
                 // The broker lost its subscription table; resume the
                 // session by re-sending everything we remember.
                 ctx.telemetry().metrics.incr("pubsub.resubscribe");
-                for (filter, qos) in self.subs.clone() {
-                    ctx.send(
-                        self.broker,
-                        PUBSUB_PORT,
-                        Packet::Subscribe { filter, qos }.encode(),
-                    );
+                for (filter, qos) in &self.subs {
+                    let bytes = PacketRef::Subscribe {
+                        filter: filter.into(),
+                        qos: *qos,
+                    }
+                    .encode();
+                    ctx.send(self.broker, PUBSUB_PORT, bytes);
                 }
                 Some(PubSubEvent::BrokerRestarted { incarnation })
             }
@@ -309,7 +310,7 @@ impl PubSubClient {
         let id = tag.0.checked_sub(self.tag_base)?;
         if id == 0 {
             if let Some(interval) = self.keepalive {
-                ctx.send(self.broker, PUBSUB_PORT, Packet::Ping.encode());
+                ctx.send(self.broker, PUBSUB_PORT, PacketRef::Ping.encode());
                 ctx.set_timer(interval, TimerTag(self.tag_base));
             }
             return None;
@@ -805,6 +806,43 @@ mod tests {
         sim.run_for(SimDuration::from_secs(1));
         let stats = sim.node_ref::<BrokerNode>(broker).unwrap().stats();
         assert_eq!(stats.decode_errors, 1);
+        assert_eq!(sim.telemetry().metrics.counter("pubsub.decode_error"), 1);
+    }
+
+    #[test]
+    fn client_counts_malformed_frames_from_its_broker() {
+        // A "broker" that answers every packet with a garbage frame.
+        struct Garbler;
+        impl Node for Garbler {
+            fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: NetPacket) {
+                ctx.send(pkt.src, PUBSUB_PORT, vec![0xFF, 0x00, 0x01]);
+            }
+        }
+        struct Listener {
+            client: PubSubClient,
+            accepted: Vec<Option<PubSubEvent>>,
+        }
+        impl Node for Listener {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                self.client.subscribe(ctx, filter("d1/#"), QoS::AtMostOnce);
+            }
+            fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: NetPacket) {
+                let event = self.client.accept(ctx, &pkt);
+                self.accepted.push(event);
+            }
+        }
+        let mut sim = Simulator::new(SimConfig::default());
+        let garbler = sim.add_node("garbler", Garbler);
+        let listener = sim.add_node(
+            "listener",
+            Listener {
+                client: PubSubClient::new(garbler, 100),
+                accepted: vec![],
+            },
+        );
+        sim.run_for(SimDuration::from_secs(1));
+        let accepted = &sim.node_ref::<Listener>(listener).unwrap().accepted;
+        assert_eq!(accepted, &vec![None], "one frame, rejected");
         assert_eq!(sim.telemetry().metrics.counter("pubsub.decode_error"), 1);
     }
 

@@ -11,13 +11,13 @@
 //!   is a partition: every topic has exactly one owner.
 //! * **Routing advertisements.** When a broker gains a local subscriber
 //!   it advertises the filter to its peers
-//!   ([`BridgeAdvertise`](crate::WirePacket::BridgeAdvertise)); peers
+//!   ([`BridgeAdvertise`](crate::WirePacketRef::BridgeAdvertise)); peers
 //!   forward matching publishes back. Withdrawn on the last local
 //!   unsubscribe.
 //! * **Batched bridge frames.** Cross-broker publishes ride a per-peer
 //!   [`Batcher`] under a size/age [`BatchPolicy`]: N publishes crossing
 //!   a bridge cost O(1) wire frames
-//!   ([`BridgeBatch`](crate::WirePacket::BridgeBatch)).
+//!   ([`BridgeBatch`](crate::WirePacketRef::BridgeBatch)).
 //! * **Reliability.** Every batch is acknowledged; unacked batches are
 //!   retried with the batch id held stable, and receivers deduplicate on
 //!   batch id, so QoS 1 conservation holds across a lossy or flapping
@@ -152,10 +152,15 @@ pub(crate) struct RemoteSub {
 }
 
 /// An unacknowledged batch awaiting [`BridgeBatchAck`].
+///
+/// Holds the batch as encoded: its incarnation, id and frames never
+/// change while it is pending (a restart clears the ledger), so a retry
+/// resends these exact bytes.
 #[derive(Debug)]
 pub(crate) struct PendingBatch {
     pub(crate) peer: usize,
-    pub(crate) frames: Vec<BridgeFrame>,
+    pub(crate) bytes: Vec<u8>,
+    pub(crate) frame_count: usize,
     pub(crate) retries_left: u32,
     /// Instant of the last (re)transmission, so the ack's round-trip
     /// feeds the peer breaker's latency signal.
@@ -276,7 +281,7 @@ impl FederationState {
 
     /// Frames on the wire awaiting acknowledgement.
     pub(crate) fn in_flight_frames(&self) -> usize {
-        self.pending.values().map(|p| p.frames.len()).sum()
+        self.pending.values().map(|p| p.frame_count).sum()
     }
 }
 

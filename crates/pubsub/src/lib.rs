@@ -39,6 +39,4 @@ pub use topic::{
     MeasurementTopic, RollupScope, RollupTopic, SubscriptionTrie, Topic, TopicFilter,
     TopicFilterRef, TopicRef,
 };
-pub use wire::{
-    BridgeFrame, BridgeFrameRef, Packet as WirePacket, PacketRef as WirePacketRef, QoS, PUBSUB_PORT,
-};
+pub use wire::{BridgeFrame, BridgeFrameRef, PacketRef as WirePacketRef, QoS, PUBSUB_PORT};

@@ -3,24 +3,23 @@
 //! A small tagged binary encoding. Strings are u16-length-prefixed,
 //! payloads u32-length-prefixed, integers little-endian.
 //!
-//! Decoding comes in two flavours sharing one grammar:
+//! There is one packet type, [`PacketRef`], a view over bytes someone
+//! else owns, and one grammar:
 //!
-//! * [`PacketRef::decode`] — the hot path. Borrows topics and payloads
-//!   straight out of the receive buffer; the only allocation is the
-//!   frame vector of a [`PacketRef::BridgeBatch`]. The broker runs on
-//!   this and calls `to_*` conversions exactly where it must retain
-//!   data beyond the packet's lifetime.
-//! * [`Packet::decode`] — the convenience path, delegating to the
-//!   borrowed decoder and materializing everything. Clients and tests
-//!   use it; by construction the two can never drift apart.
+//! * [`PacketRef::decode`] borrows topics and payloads straight out of
+//!   the receive buffer; the only allocation is the frame vector of a
+//!   [`PacketRef::BridgeBatch`]. Receivers call `to_*` conversions
+//!   exactly where they must retain data beyond the packet's lifetime.
+//! * [`PacketRef::encode`] serializes a view built over the sender's
+//!   own data, so sending never copies a topic or payload into an
+//!   intermediate packet.
 //!
-//! Encoding is single-sourced the same way: [`Packet::encode`] builds a
-//! borrowed [`PacketRef`] view ([`Packet::view`]) and defers to
-//! [`PacketRef::encode`].
+//! The one owned wire record is [`BridgeFrame`]: a bridge batcher holds
+//! its frames until the peer acknowledges the batch.
 
 use simnet::Port;
 
-use crate::{PubSubError, Topic, TopicFilter, TopicFilterRef, TopicRef};
+use crate::{PubSubError, Topic, TopicFilterRef, TopicRef};
 
 /// The well-known port brokers listen on.
 pub const PUBSUB_PORT: Port = Port(7100);
@@ -54,29 +53,33 @@ impl QoS {
     }
 }
 
-/// A middleware wire packet.
+/// A middleware wire packet, borrowing its topics, filters and payloads.
+///
+/// Produced by [`PacketRef::decode`] straight over the receive buffer,
+/// or built by a sender over data it already owns. Consumed by
+/// [`PacketRef::encode`], the one and only encoder of the wire format.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Packet {
+pub enum PacketRef<'a> {
     /// Client → broker: subscribe to a filter.
     Subscribe {
         /// The filter.
-        filter: TopicFilter,
+        filter: TopicFilterRef<'a>,
         /// Requested delivery guarantee.
         qos: QoS,
     },
     /// Client → broker: drop a subscription.
     Unsubscribe {
         /// The filter to drop.
-        filter: TopicFilter,
+        filter: TopicFilterRef<'a>,
     },
     /// Client → broker: publish a message.
     Publish {
-        /// Publisher-chosen id, echoed in [`Packet::PubAck`] for QoS 1.
+        /// Publisher-chosen id, echoed in [`PacketRef::PubAck`] for QoS 1.
         id: u64,
         /// The topic.
-        topic: Topic,
+        topic: TopicRef<'a>,
         /// Opaque payload (common-data-format text by convention).
-        payload: Vec<u8>,
+        payload: &'a [u8],
         /// Whether the broker retains it for future subscribers.
         retain: bool,
         /// Delivery guarantee.
@@ -97,9 +100,9 @@ pub enum Packet {
         /// Broker-chosen delivery id (acked for QoS 1).
         id: u64,
         /// The topic it was published under.
-        topic: Topic,
+        topic: TopicRef<'a>,
         /// The payload.
-        payload: Vec<u8>,
+        payload: &'a [u8],
         /// Delivery guarantee of this delivery.
         qos: QoS,
         /// Flight-recorder trace id of the originating publish.
@@ -131,7 +134,7 @@ pub enum Packet {
         /// The advertising broker's incarnation.
         incarnation: u64,
         /// The advertised filter.
-        filter: TopicFilter,
+        filter: TopicFilterRef<'a>,
         /// The strongest QoS any local subscriber asked for.
         qos: QoS,
     },
@@ -141,20 +144,22 @@ pub enum Packet {
         /// The advertising broker's incarnation.
         incarnation: u64,
         /// The filter to withdraw.
-        filter: TopicFilter,
+        filter: TopicFilterRef<'a>,
     },
     /// Broker → peer broker: a batch of publishes crossing the bridge in
     /// one wire frame (the inter-broker hop pays O(1) frames for N
-    /// publishes). Always acked with [`Packet::BridgeBatchAck`]; the
+    /// publishes). Always acked with [`PacketRef::BridgeBatchAck`]; the
     /// sender retries unacked batches and the receiver dedups on
     /// `batch_id`, so QoS 1 conservation holds across a lossy bridge.
+    /// The frame vector is the decoder's sole allocation; the frames
+    /// themselves borrow.
     BridgeBatch {
         /// The sending broker's incarnation.
         incarnation: u64,
         /// Sender-chosen id, unique per (sender, incarnation).
         batch_id: u64,
         /// The batched publishes, in publish order.
-        frames: Vec<BridgeFrame>,
+        frames: Vec<BridgeFrameRef<'a>>,
     },
     /// Peer broker → broker: batch received (possibly a duplicate).
     BridgeBatchAck {
@@ -176,7 +181,7 @@ pub enum Packet {
         /// Requester-chosen id, echoed in the reply.
         id: u64,
         /// The document path (`"/metrics"`, `"/health"`).
-        path: String,
+        path: &'a str,
     },
     /// Broker → ops plane: the requested document.
     OpsReply {
@@ -185,11 +190,12 @@ pub enum Packet {
         /// An HTTP-style status code (200, 404).
         status: u16,
         /// The document body.
-        body: Vec<u8>,
+        body: &'a [u8],
     },
 }
 
-/// One publish inside a [`Packet::BridgeBatch`].
+/// One publish inside a [`PacketRef::BridgeBatch`], owned: what a
+/// bridge batcher holds until the peer acknowledges the batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BridgeFrame {
     /// The topic it was published under.
@@ -221,131 +227,6 @@ impl BridgeFrame {
     }
 }
 
-/// A borrowed view of a wire packet: the zero-copy counterpart of
-/// [`Packet`].
-///
-/// Produced by [`PacketRef::decode`] straight over the receive buffer —
-/// topics, filters and payloads are slices of the input; only a
-/// [`PacketRef::BridgeBatch`] allocates (its frame vector, never the
-/// frame contents). Consumed by [`PacketRef::encode`], which is the one
-/// and only encoder of the wire format.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PacketRef<'a> {
-    /// Borrowed [`Packet::Subscribe`].
-    Subscribe {
-        /// The filter.
-        filter: TopicFilterRef<'a>,
-        /// Requested delivery guarantee.
-        qos: QoS,
-    },
-    /// Borrowed [`Packet::Unsubscribe`].
-    Unsubscribe {
-        /// The filter to drop.
-        filter: TopicFilterRef<'a>,
-    },
-    /// Borrowed [`Packet::Publish`].
-    Publish {
-        /// Publisher-chosen id, echoed in [`Packet::PubAck`] for QoS 1.
-        id: u64,
-        /// The topic, borrowed from the buffer.
-        topic: TopicRef<'a>,
-        /// The payload, borrowed from the buffer.
-        payload: &'a [u8],
-        /// Whether the broker retains it for future subscribers.
-        retain: bool,
-        /// Delivery guarantee.
-        qos: QoS,
-        /// Flight-recorder trace id carried end to end (0 = untraced).
-        trace: u64,
-        /// Causal span of the publishing hop (0 = unstructured).
-        span: u64,
-    },
-    /// Borrowed [`Packet::PubAck`].
-    PubAck {
-        /// The publisher's id.
-        id: u64,
-    },
-    /// Borrowed [`Packet::Deliver`].
-    Deliver {
-        /// Broker-chosen delivery id (acked for QoS 1).
-        id: u64,
-        /// The topic it was published under, borrowed from the buffer.
-        topic: TopicRef<'a>,
-        /// The payload, borrowed from the buffer.
-        payload: &'a [u8],
-        /// Delivery guarantee of this delivery.
-        qos: QoS,
-        /// Flight-recorder trace id of the originating publish.
-        trace: u64,
-        /// Causal span of the broker's deliver hop (0 = unstructured).
-        span: u64,
-    },
-    /// Borrowed [`Packet::DeliverAck`].
-    DeliverAck {
-        /// The broker's delivery id.
-        id: u64,
-    },
-    /// Borrowed [`Packet::Ping`].
-    Ping,
-    /// Borrowed [`Packet::Pong`].
-    Pong {
-        /// The broker's current incarnation.
-        incarnation: u64,
-    },
-    /// Borrowed [`Packet::BridgeAdvertise`].
-    BridgeAdvertise {
-        /// The advertising broker's incarnation.
-        incarnation: u64,
-        /// The advertised filter.
-        filter: TopicFilterRef<'a>,
-        /// The strongest QoS any local subscriber asked for.
-        qos: QoS,
-    },
-    /// Borrowed [`Packet::BridgeUnadvertise`].
-    BridgeUnadvertise {
-        /// The advertising broker's incarnation.
-        incarnation: u64,
-        /// The filter to withdraw.
-        filter: TopicFilterRef<'a>,
-    },
-    /// Borrowed [`Packet::BridgeBatch`]. The frame vector is the sole
-    /// allocation of the borrowed decoder; the frames themselves borrow.
-    BridgeBatch {
-        /// The sending broker's incarnation.
-        incarnation: u64,
-        /// Sender-chosen id, unique per (sender, incarnation).
-        batch_id: u64,
-        /// The batched publishes, in publish order.
-        frames: Vec<BridgeFrameRef<'a>>,
-    },
-    /// Borrowed [`Packet::BridgeBatchAck`].
-    BridgeBatchAck {
-        /// The sender's batch id.
-        batch_id: u64,
-    },
-    /// Borrowed [`Packet::BridgeHello`].
-    BridgeHello {
-        /// The sending broker's current incarnation.
-        incarnation: u64,
-    },
-    /// Borrowed [`Packet::OpsGet`].
-    OpsGet {
-        /// Requester-chosen id, echoed in the reply.
-        id: u64,
-        /// The document path, borrowed from the buffer.
-        path: &'a str,
-    },
-    /// Borrowed [`Packet::OpsReply`].
-    OpsReply {
-        /// The requester's id.
-        id: u64,
-        /// An HTTP-style status code (200, 404).
-        status: u16,
-        /// The document body, borrowed from the buffer.
-        body: &'a [u8],
-    },
-}
-
 /// A borrowed view of one publish inside a bridge batch: the zero-copy
 /// counterpart of [`BridgeFrame`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -365,18 +246,6 @@ pub struct BridgeFrameRef<'a> {
 }
 
 impl BridgeFrameRef<'_> {
-    /// Materializes an owned [`BridgeFrame`].
-    pub fn to_frame(&self) -> BridgeFrame {
-        BridgeFrame {
-            topic: self.topic.to_topic(),
-            payload: self.payload.to_vec(),
-            retain: self.retain,
-            qos: self.qos,
-            trace: self.trace,
-            span: self.span,
-        }
-    }
-
     /// Encoded size of this frame on the wire.
     fn wire_len(&self) -> usize {
         2 + self.topic.as_str().len() + 4 + self.payload.len() + 1 + 1 + 8 + 8
@@ -568,8 +437,7 @@ impl<'a> PacketRef<'a> {
         Ok(packet)
     }
 
-    /// Encodes the packet. This is the sole encoder of the wire format;
-    /// [`Packet::encode`] defers here via [`Packet::view`].
+    /// Encodes the packet. This is the sole encoder of the wire format.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.wire_len());
         match self {
@@ -716,266 +584,74 @@ impl<'a> PacketRef<'a> {
             PacketRef::OpsReply { body, .. } => 1 + 8 + 2 + 4 + body.len(),
         }
     }
-
-    /// Materializes an owned [`Packet`].
-    pub fn to_packet(&self) -> Packet {
-        match self {
-            PacketRef::Subscribe { filter, qos } => Packet::Subscribe {
-                filter: filter.to_filter(),
-                qos: *qos,
-            },
-            PacketRef::Unsubscribe { filter } => Packet::Unsubscribe {
-                filter: filter.to_filter(),
-            },
-            PacketRef::Publish {
-                id,
-                topic,
-                payload,
-                retain,
-                qos,
-                trace,
-                span,
-            } => Packet::Publish {
-                id: *id,
-                topic: topic.to_topic(),
-                payload: payload.to_vec(),
-                retain: *retain,
-                qos: *qos,
-                trace: *trace,
-                span: *span,
-            },
-            PacketRef::PubAck { id } => Packet::PubAck { id: *id },
-            PacketRef::Deliver {
-                id,
-                topic,
-                payload,
-                qos,
-                trace,
-                span,
-            } => Packet::Deliver {
-                id: *id,
-                topic: topic.to_topic(),
-                payload: payload.to_vec(),
-                qos: *qos,
-                trace: *trace,
-                span: *span,
-            },
-            PacketRef::DeliverAck { id } => Packet::DeliverAck { id: *id },
-            PacketRef::Ping => Packet::Ping,
-            PacketRef::Pong { incarnation } => Packet::Pong {
-                incarnation: *incarnation,
-            },
-            PacketRef::BridgeAdvertise {
-                incarnation,
-                filter,
-                qos,
-            } => Packet::BridgeAdvertise {
-                incarnation: *incarnation,
-                filter: filter.to_filter(),
-                qos: *qos,
-            },
-            PacketRef::BridgeUnadvertise {
-                incarnation,
-                filter,
-            } => Packet::BridgeUnadvertise {
-                incarnation: *incarnation,
-                filter: filter.to_filter(),
-            },
-            PacketRef::BridgeBatch {
-                incarnation,
-                batch_id,
-                frames,
-            } => Packet::BridgeBatch {
-                incarnation: *incarnation,
-                batch_id: *batch_id,
-                frames: frames.iter().map(BridgeFrameRef::to_frame).collect(),
-            },
-            PacketRef::BridgeBatchAck { batch_id } => Packet::BridgeBatchAck {
-                batch_id: *batch_id,
-            },
-            PacketRef::BridgeHello { incarnation } => Packet::BridgeHello {
-                incarnation: *incarnation,
-            },
-            PacketRef::OpsGet { id, path } => Packet::OpsGet {
-                id: *id,
-                path: path.to_string(),
-            },
-            PacketRef::OpsReply { id, status, body } => Packet::OpsReply {
-                id: *id,
-                status: *status,
-                body: body.to_vec(),
-            },
-        }
-    }
-}
-
-impl Packet {
-    /// A borrowed view of this packet, for allocation-free encoding and
-    /// structural comparison against decoded [`PacketRef`]s.
-    pub fn view(&self) -> PacketRef<'_> {
-        match self {
-            Packet::Subscribe { filter, qos } => PacketRef::Subscribe {
-                filter: filter.into(),
-                qos: *qos,
-            },
-            Packet::Unsubscribe { filter } => PacketRef::Unsubscribe {
-                filter: filter.into(),
-            },
-            Packet::Publish {
-                id,
-                topic,
-                payload,
-                retain,
-                qos,
-                trace,
-                span,
-            } => PacketRef::Publish {
-                id: *id,
-                topic: topic.into(),
-                payload,
-                retain: *retain,
-                qos: *qos,
-                trace: *trace,
-                span: *span,
-            },
-            Packet::PubAck { id } => PacketRef::PubAck { id: *id },
-            Packet::Deliver {
-                id,
-                topic,
-                payload,
-                qos,
-                trace,
-                span,
-            } => PacketRef::Deliver {
-                id: *id,
-                topic: topic.into(),
-                payload,
-                qos: *qos,
-                trace: *trace,
-                span: *span,
-            },
-            Packet::DeliverAck { id } => PacketRef::DeliverAck { id: *id },
-            Packet::Ping => PacketRef::Ping,
-            Packet::Pong { incarnation } => PacketRef::Pong {
-                incarnation: *incarnation,
-            },
-            Packet::BridgeAdvertise {
-                incarnation,
-                filter,
-                qos,
-            } => PacketRef::BridgeAdvertise {
-                incarnation: *incarnation,
-                filter: filter.into(),
-                qos: *qos,
-            },
-            Packet::BridgeUnadvertise {
-                incarnation,
-                filter,
-            } => PacketRef::BridgeUnadvertise {
-                incarnation: *incarnation,
-                filter: filter.into(),
-            },
-            Packet::BridgeBatch {
-                incarnation,
-                batch_id,
-                frames,
-            } => PacketRef::BridgeBatch {
-                incarnation: *incarnation,
-                batch_id: *batch_id,
-                frames: frames.iter().map(BridgeFrame::view).collect(),
-            },
-            Packet::BridgeBatchAck { batch_id } => PacketRef::BridgeBatchAck {
-                batch_id: *batch_id,
-            },
-            Packet::BridgeHello { incarnation } => PacketRef::BridgeHello {
-                incarnation: *incarnation,
-            },
-            Packet::OpsGet { id, path } => PacketRef::OpsGet { id: *id, path },
-            Packet::OpsReply { id, status, body } => PacketRef::OpsReply {
-                id: *id,
-                status: *status,
-                body,
-            },
-        }
-    }
-
-    /// Encodes the packet.
-    pub fn encode(&self) -> Vec<u8> {
-        self.view().encode()
-    }
-
-    /// Decodes a packet produced by [`Packet::encode`], materializing
-    /// owned topics and payloads. Delegates to [`PacketRef::decode`],
-    /// so the owned and borrowed decoders accept exactly the same
-    /// inputs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PubSubError::DecodePacket`] (or a topic/filter grammar
-    /// error) on malformed input.
-    pub fn decode(bytes: &[u8]) -> Result<Self, PubSubError> {
-        Ok(PacketRef::decode(bytes)?.to_packet())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_packets() -> Vec<Packet> {
+    fn topic(s: &'static str) -> TopicRef<'static> {
+        TopicRef::new(s).unwrap()
+    }
+
+    fn filter(s: &'static str) -> TopicFilterRef<'static> {
+        TopicFilterRef::new(s).unwrap()
+    }
+
+    fn sample_packets() -> Vec<PacketRef<'static>> {
         vec![
-            Packet::Subscribe {
-                filter: TopicFilter::new("a/+/#").unwrap(),
+            PacketRef::Subscribe {
+                filter: filter("a/+/#"),
                 qos: QoS::AtLeastOnce,
             },
-            Packet::Unsubscribe {
-                filter: TopicFilter::new("a/b").unwrap(),
+            PacketRef::Unsubscribe {
+                filter: filter("a/b"),
             },
-            Packet::Publish {
+            PacketRef::Publish {
                 id: 42,
-                topic: Topic::new("a/b/c").unwrap(),
-                payload: b"{\"v\":1}".to_vec(),
+                topic: topic("a/b/c"),
+                payload: b"{\"v\":1}",
                 retain: true,
                 qos: QoS::AtMostOnce,
                 trace: 9,
                 span: 31,
             },
-            Packet::PubAck { id: 42 },
-            Packet::Deliver {
+            PacketRef::PubAck { id: 42 },
+            PacketRef::Deliver {
                 id: 7,
-                topic: Topic::new("a/b/c").unwrap(),
-                payload: vec![],
+                topic: topic("a/b/c"),
+                payload: b"",
                 qos: QoS::AtLeastOnce,
                 trace: 0,
                 span: 0,
             },
-            Packet::DeliverAck { id: 7 },
-            Packet::Ping,
-            Packet::Pong { incarnation: 3 },
-            Packet::BridgeAdvertise {
+            PacketRef::DeliverAck { id: 7 },
+            PacketRef::Ping,
+            PacketRef::Pong { incarnation: 3 },
+            PacketRef::BridgeAdvertise {
                 incarnation: 2,
-                filter: TopicFilter::new("district/d1/#").unwrap(),
+                filter: filter("district/d1/#"),
                 qos: QoS::AtLeastOnce,
             },
-            Packet::BridgeUnadvertise {
+            PacketRef::BridgeUnadvertise {
                 incarnation: 2,
-                filter: TopicFilter::new("district/d1/#").unwrap(),
+                filter: filter("district/d1/#"),
             },
-            Packet::BridgeBatch {
+            PacketRef::BridgeBatch {
                 incarnation: 2,
                 batch_id: 77,
                 frames: vec![
-                    BridgeFrame {
-                        topic: Topic::new("district/d1/agg/x").unwrap(),
-                        payload: b"{\"v\":1}".to_vec(),
+                    BridgeFrameRef {
+                        topic: topic("district/d1/agg/x"),
+                        payload: b"{\"v\":1}",
                         retain: true,
                         qos: QoS::AtLeastOnce,
                         trace: 5,
                         span: 17,
                     },
-                    BridgeFrame {
-                        topic: Topic::new("a/b").unwrap(),
-                        payload: vec![],
+                    BridgeFrameRef {
+                        topic: topic("a/b"),
+                        payload: b"",
                         retain: false,
                         qos: QoS::AtMostOnce,
                         trace: 0,
@@ -983,26 +659,26 @@ mod tests {
                     },
                 ],
             },
-            Packet::BridgeBatch {
+            PacketRef::BridgeBatch {
                 incarnation: 1,
                 batch_id: 0,
                 frames: vec![],
             },
-            Packet::BridgeBatchAck { batch_id: 77 },
-            Packet::BridgeHello { incarnation: 4 },
-            Packet::OpsGet {
+            PacketRef::BridgeBatchAck { batch_id: 77 },
+            PacketRef::BridgeHello { incarnation: 4 },
+            PacketRef::OpsGet {
                 id: 12,
-                path: "/metrics".to_string(),
+                path: "/metrics",
             },
-            Packet::OpsReply {
+            PacketRef::OpsReply {
                 id: 12,
                 status: 200,
-                body: b"# TYPE up gauge\nup 1\n".to_vec(),
+                body: b"# TYPE up gauge\nup 1\n",
             },
-            Packet::OpsReply {
+            PacketRef::OpsReply {
                 id: 13,
                 status: 404,
-                body: vec![],
+                body: b"",
             },
         ]
     }
@@ -1010,36 +686,27 @@ mod tests {
     #[test]
     fn all_packets_round_trip() {
         for p in &sample_packets() {
-            assert_eq!(&Packet::decode(&p.encode()).unwrap(), p, "{p:?}");
-        }
-    }
-
-    #[test]
-    fn borrowed_decode_matches_owned_decode_for_all_packets() {
-        for p in &sample_packets() {
             let bytes = p.encode();
-            let borrowed = PacketRef::decode(&bytes).unwrap();
-            assert_eq!(borrowed, p.view(), "{p:?}");
-            assert_eq!(&borrowed.to_packet(), p, "{p:?}");
-            // The view's encoding is the encoding.
-            assert_eq!(borrowed.encode(), bytes, "{p:?}");
+            let decoded = PacketRef::decode(&bytes).unwrap();
+            assert_eq!(&decoded, p, "{p:?}");
+            // The decoded view re-encodes to the same bytes.
+            assert_eq!(decoded.encode(), bytes, "{p:?}");
         }
     }
 
     #[test]
     fn encode_preallocates_exactly() {
         for p in &sample_packets() {
-            let bytes = p.encode();
-            assert_eq!(bytes.len(), p.view().wire_len(), "{p:?}");
+            assert_eq!(p.encode().len(), p.wire_len(), "{p:?}");
         }
     }
 
     #[test]
     fn borrowed_decode_borrows_from_the_input() {
-        let bytes = Packet::Publish {
+        let bytes = PacketRef::Publish {
             id: 1,
-            topic: Topic::new("a/b/c").unwrap(),
-            payload: b"payload".to_vec(),
+            topic: topic("a/b/c"),
+            payload: b"payload",
             retain: false,
             qos: QoS::AtMostOnce,
             trace: 0,
@@ -1056,12 +723,12 @@ mod tests {
 
     #[test]
     fn bridge_batch_truncation_rejected() {
-        let bytes = Packet::BridgeBatch {
+        let bytes = PacketRef::BridgeBatch {
             incarnation: 1,
             batch_id: 2,
-            frames: vec![BridgeFrame {
-                topic: Topic::new("t/u").unwrap(),
-                payload: b"xy".to_vec(),
+            frames: vec![BridgeFrameRef {
+                topic: topic("t/u"),
+                payload: b"xy",
                 retain: false,
                 qos: QoS::AtLeastOnce,
                 trace: 3,
@@ -1070,8 +737,7 @@ mod tests {
         }
         .encode();
         for cut in 0..bytes.len() {
-            assert!(Packet::decode(&bytes[..cut]).is_err(), "cut {cut}");
-            assert!(PacketRef::decode(&bytes[..cut]).is_err(), "borrowed {cut}");
+            assert!(PacketRef::decode(&bytes[..cut]).is_err(), "cut {cut}");
         }
     }
 
@@ -1079,7 +745,7 @@ mod tests {
     fn bridge_batch_lying_count_rejected() {
         // A frame count larger than the frames actually present must be
         // caught as truncation, not read past the buffer.
-        let mut bytes = Packet::BridgeBatch {
+        let mut bytes = PacketRef::BridgeBatch {
             incarnation: 1,
             batch_id: 2,
             frames: vec![],
@@ -1087,7 +753,6 @@ mod tests {
         .encode();
         let n = bytes.len();
         bytes[n - 2..].copy_from_slice(&3u16.to_le_bytes());
-        assert!(Packet::decode(&bytes).is_err());
         assert!(PacketRef::decode(&bytes).is_err());
     }
 
@@ -1105,16 +770,15 @@ mod tests {
         out.push(0);
         out.extend_from_slice(&0u64.to_le_bytes());
         out.extend_from_slice(&0u64.to_le_bytes());
-        assert!(Packet::decode(&out).is_err());
         assert!(PacketRef::decode(&out).is_err());
     }
 
     #[test]
     fn truncation_rejected() {
-        let bytes = Packet::Publish {
+        let bytes = PacketRef::Publish {
             id: 1,
-            topic: Topic::new("t").unwrap(),
-            payload: b"xyz".to_vec(),
+            topic: topic("t"),
+            payload: b"xyz",
             retain: false,
             qos: QoS::AtMostOnce,
             trace: 1,
@@ -1122,32 +786,27 @@ mod tests {
         }
         .encode();
         for cut in 0..bytes.len() {
-            assert!(Packet::decode(&bytes[..cut]).is_err(), "cut {cut}");
-            assert!(PacketRef::decode(&bytes[..cut]).is_err(), "borrowed {cut}");
+            assert!(PacketRef::decode(&bytes[..cut]).is_err(), "cut {cut}");
         }
     }
 
     #[test]
     fn garbage_rejected() {
-        assert!(Packet::decode(&[]).is_err());
-        assert!(Packet::decode(&[99]).is_err());
         assert!(PacketRef::decode(&[]).is_err());
         assert!(PacketRef::decode(&[99]).is_err());
-        let mut bad_qos = Packet::Subscribe {
-            filter: TopicFilter::new("a").unwrap(),
+        let mut bad_qos = PacketRef::Subscribe {
+            filter: filter("a"),
             qos: QoS::AtMostOnce,
         }
         .encode();
         *bad_qos.last_mut().unwrap() = 9;
-        assert!(Packet::decode(&bad_qos).is_err());
         assert!(PacketRef::decode(&bad_qos).is_err());
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut bytes = Packet::PubAck { id: 1 }.encode();
+        let mut bytes = PacketRef::PubAck { id: 1 }.encode();
         bytes.push(0);
-        assert!(Packet::decode(&bytes).is_err());
         assert!(PacketRef::decode(&bytes).is_err());
     }
 
@@ -1161,10 +820,6 @@ mod tests {
         out.push(0);
         out.push(0);
         out.extend_from_slice(&0u64.to_le_bytes());
-        assert!(matches!(
-            Packet::decode(&out),
-            Err(PubSubError::InvalidTopic { .. })
-        ));
         assert!(matches!(
             PacketRef::decode(&out),
             Err(PubSubError::InvalidTopic { .. })

@@ -6,10 +6,12 @@
 # five samples per bench), takes the per-bench minimum over
 # GATE_PASSES=3 passes (the minimum is robust to scheduler noise on a
 # loaded box, and a real regression raises the minimum too), and
-# compares it against the committed baseline in results/BENCH_pr9.json.
+# compares it against the committed baseline named in BASELINE below.
 # A bench fails the gate when its minimum exceeds baseline * 1.25 +
 # 100 ns — the flat 100 ns term keeps sub-microsecond benches from
-# tripping on jitter.
+# tripping on jitter — and a baseline bench that this run did not
+# produce at all fails it as MISSING (drop its row in the same change
+# that deletes the bench).
 #
 # The gate also runs the E13 smoke once (at --threads 4, which makes it
 # measure the parallel-runner speedup against a single-threaded re-run
@@ -186,11 +188,13 @@ if awk -F'"' '
     FNR == NR {
         split($0, a, /"median_ns":/); sub(/}.*/, "", a[2])
         base[$4] = a[2] + 0
+        order[++n] = $4
         next
     }
     {
         split($0, a, /"median_ns":/); sub(/}.*/, "", a[2])
         now = a[2] + 0
+        seen[$4] = 1
         if (!($4 in base)) {
             printf "new      %-40s %38.1f ns (no baseline — commit one with --update)\n", $4, now
             next
@@ -200,11 +204,18 @@ if awk -F'"' '
         printf "%-8s %-40s %12.1f -> %12.1f ns (limit %12.1f)\n", verdict, $4, base[$4], now, limit
         if (now > limit) bad++
     }
-    END { exit bad > 0 ? 1 : 0 }
+    END {
+        for (i = 1; i <= n; i++) {
+            if (order[i] in seen) continue
+            printf "MISSING  %-40s %12.1f ns (in the baseline, not measured by this run)\n", order[i], base[order[i]]
+            bad++
+        }
+        exit bad > 0 ? 1 : 0
+    }
 ' "$BASELINE" "$out"; then
     echo "bench_gate: ok"
 else
-    echo "bench_gate: REGRESSION — a hot path slowed >25% vs $BASELINE" >&2
+    echo "bench_gate: REGRESSION — a hot path slowed >25% or went unmeasured vs $BASELINE" >&2
     echo "bench_gate: if intentional, refresh with scripts/bench_gate.sh --update" >&2
     exit 1
 fi
